@@ -71,8 +71,9 @@ def add_lint_parser(sub) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="parallel analysis workers (default: os.cpu_count(); "
-        "output is bit-identical at any jobs count)",
+        help="worker threads for summary extraction and file rules "
+        "(default: os.cpu_count(); parsing is serialised, output is "
+        "bit-identical at any jobs count)",
     )
     p.add_argument(
         "--no-cache",

@@ -4,11 +4,15 @@ One :func:`lint_paths` call is one lint run, in three phases:
 
 1. **Per-file analysis** (parallel, cached).  Every target file is
    content-hashed; on a cache hit the stored summary/findings/
-   suppressions are replayed with zero parsing.  Misses are parsed,
-   their analysis summary extracted (:mod:`repro.lint.graph`) and every
-   ``scope="file"`` rule run, across ``--jobs`` worker threads.  Results
-   are aggregated in file order regardless of completion order, so the
-   report is bit-identical at any jobs count.
+   suppressions are replayed with zero parsing.  Misses are parsed one
+   at a time: ``ast.parse`` is serialised by a lock in
+   :func:`~repro.lint.rules.parse_module`, because CPython 3.11's AST
+   conversion corrupts interpreter-wide state when two threads parse at
+   once (gh-106905).  Only summary extraction
+   (:mod:`repro.lint.graph`) and the ``scope="file"`` rules, which work
+   on Python objects alone, run across ``--jobs`` worker threads.
+   Results are aggregated in file order regardless of completion order,
+   so the report is bit-identical at any jobs count.
 2. **Whole-program analysis.**  The summaries (cached + fresh) are
    assembled into the :class:`~repro.lint.graph.ProjectGraph`, and every
    ``scope="project"`` rule — lock-order cycles, transitive

@@ -10,6 +10,7 @@ share one interface.
 from __future__ import annotations
 
 import ast
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -49,11 +50,23 @@ class ModuleSource:
         return head in dirs
 
 
+# CPython 3.11 keeps the C-to-Python AST conversion's recursion counter
+# in interpreter-wide state: a garbage collection mid-conversion can
+# switch to another thread that is parsing too, and the first parse then
+# raises ``SystemError: AST constructor recursion depth mismatch``
+# (gh-106905).  So ``ast.parse`` never runs on two threads at once.
+_PARSE_LOCK = threading.Lock()
+
+
 def parse_module(path: Path, rel: str, display: str) -> Optional[ModuleSource]:
-    """Parse one file; returns None when the source does not parse."""
+    """Parse one file; returns None when the source does not parse.
+
+    Safe to call from several threads: the parse itself is serialised.
+    """
     text = path.read_text(encoding="utf-8")
     try:
-        tree = ast.parse(text, filename=str(path))
+        with _PARSE_LOCK:
+            tree = ast.parse(text, filename=str(path))
     except SyntaxError:
         return None
     return ModuleSource(

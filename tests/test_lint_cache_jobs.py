@@ -2,12 +2,18 @@
 bit-identical --jobs output, and the new CLI surface (SARIF, graph
 dumps, unknown-rule listing)."""
 
+import gc
 import json
 import textwrap
+import time
+from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 from repro.lint import Baseline, Finding, LintConfig, lint_paths, render_findings
 from repro.lint.cache import AnalysisCache, compute_signature
+from repro.lint.config import find_repo_root
 from repro.lint.rules import all_rules
 
 BAD = """
@@ -134,6 +140,40 @@ def test_jobs_output_bit_identical(tmp_path):
     assert rows(serial) == rows(parallel)
     assert [f.row() for f in serial.suppressed] == [
         f.row() for f in parallel.suppressed
+    ]
+
+
+@pytest.fixture
+def gil_handoff_in_every_gc():
+    """Yield the GIL inside every garbage collection.
+
+    On CPython 3.11 a collection during ``ast.parse``'s C-to-Python AST
+    conversion that switches to another parsing thread corrupts the
+    interpreter-wide recursion counter and raises ``SystemError: AST
+    constructor recursion depth mismatch`` (gh-106905).  Forcing the
+    switch makes that interleaving happen on every run, not by chance.
+    """
+
+    def handoff(_phase, _info):
+        time.sleep(0)
+
+    gc.callbacks.append(handoff)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(handoff)
+
+
+def test_jobs_never_parse_concurrently(gil_handoff_in_every_gc):
+    """The repo's own package lints identically at jobs 8 and 1 even when
+    every collection hands the GIL to another worker thread."""
+    config = LintConfig.for_root(find_repo_root(Path(__file__).parent))
+    parallel = lint_paths(config=config, use_cache=False, jobs=8)
+    serial = lint_paths(config=config, use_cache=False, jobs=1)
+    assert not parallel.parse_errors and not serial.parse_errors
+    assert parallel.files == serial.files > 0
+    assert [f.row() for f in parallel.all_raw()] == [
+        f.row() for f in serial.all_raw()
     ]
 
 
